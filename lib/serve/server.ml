@@ -202,19 +202,37 @@ let replay_epochs ?(config = default_config) ?sanitize ?(seed = 42) ~params ~str
 (* The live server                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* One domain's latency samples, in a flat float array that doubles when
+   full: recording a sample allocates nothing, where a [float list] cost 40
+   bytes per sample, each promoted to the major heap (DESIGN §10.4). *)
+type samples = { mutable data : float array; mutable len : int }
+
+let samples () = { data = Array.make 1024 0.; len = 0 }
+
+let record buf x =
+  if buf.len = Array.length buf.data then begin
+    let grown = Array.make (2 * buf.len) 0. in
+    Array.blit buf.data 0 grown 0 buf.len;
+    buf.data <- grown
+  end;
+  buf.data.(buf.len) <- x;
+  buf.len <- buf.len + 1
+
+let recorded buf = Array.sub buf.data 0 buf.len
+
 let latency_of samples =
-  match samples with
-  | [] ->
-      { l_count = 0; l_mean_us = 0.; l_p50_us = 0.; l_p95_us = 0.; l_p99_us = 0.; l_max_us = 0. }
-  | _ ->
+  let n = Array.length samples in
+  match Stats.quantiles [ 0.5; 0.95; 0.99; 1. ] samples with
+  | [ p50; p95; p99; max ] when n > 0 ->
       {
-        l_count = List.length samples;
-        l_mean_us = Stats.mean samples;
-        l_p50_us = Stats.quantile 0.5 samples;
-        l_p95_us = Stats.quantile 0.95 samples;
-        l_p99_us = Stats.quantile 0.99 samples;
-        l_max_us = Stats.maximum samples;
+        l_count = n;
+        l_mean_us = Array.fold_left ( +. ) 0. samples /. float_of_int n;
+        l_p50_us = p50;
+        l_p95_us = p95;
+        l_p99_us = p99;
+        l_max_us = max;
       }
+  | _ -> { l_count = 0; l_mean_us = 0.; l_p50_us = 0.; l_p95_us = 0.; l_p99_us = 0.; l_max_us = 0. }
 
 (* The sketch key space: cluster values quantized into 64 equal buckets of
    the pval domain [0, 1).  The same quantizer serves writer (updated keys)
@@ -239,7 +257,7 @@ type writer_out = {
   wo_txns : int;
   wo_epochs : int;
   wo_wall_s : float;
-  wo_lats : float list;
+  wo_lats : float array;
   wo_ring : Flight.t option;
   wo_sketch : Sketch.t option;
   wo_frames : int;
@@ -247,7 +265,7 @@ type writer_out = {
 }
 
 type reader_out = {
-  ro_lats : float list;
+  ro_lats : float array;
   ro_obs : observation list;
   ro_ring : Flight.t option;
   ro_sketch : Sketch.t option;
@@ -346,7 +364,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
         let emit ~at_us ev =
           match ring with Some rg -> Flight.append rg ~at_us ev | None -> ()
         in
-        let lats = ref [] in
+        let lats = samples () in
         let seq = ref 0 in
         let last_forces = ref 0 in
         let frames = ref 0 in
@@ -355,7 +373,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
           | Some f when config.dash_every > 0 && epoch mod config.dash_every = 0 ->
               let wall = Wallclock.elapsed_s sw_all in
               let queries = Atomic.get queries_done in
-              let txn_lat = latency_of !lats in
+              let txn_lat = latency_of (recorded lats) in
               f
                 {
                   Dash.d_seq = !frames;
@@ -433,7 +451,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
               let sw = Wallclock.start () in
               f ();
               let el = Wallclock.elapsed_us sw in
-              lats := el :: !lats;
+              record lats el;
               (match msnap with
               | Some ms ->
                   emit ~at_us:t0
@@ -467,7 +485,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
           wo_txns = txns;
           wo_epochs = epochs;
           wo_wall_s = Wallclock.elapsed_s sw_writer;
-          wo_lats = List.rev !lats;
+          wo_lats = recorded lats;
           wo_ring = ring;
           wo_sketch = sketch;
           wo_frames = !frames;
@@ -491,7 +509,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
       if sketch_on then Some (Sketch.create ~capacity:config.sketch_capacity ())
       else None
     in
-    let lats = ref [] and obs = ref [] in
+    let lats = samples () and obs = ref [] in
     let alloc0 = Gc.allocated_bytes () in
     for s = 0 to config.queries_per_reader - 1 do
       let q = Stream.range_query_of ~lo_max ~width rng in
@@ -505,7 +523,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
       let result = Snapshot.query snap ~lo:q.Strategy.q_lo ~hi:q.Strategy.q_hi in
       Mvcc.unpin store v;
       let el = Wallclock.elapsed_us sw in
-      lats := el :: !lats;
+      record lats el;
       Atomic.incr queries_done;
       (* Events are appended outside the timed window, stamped with the
          window's endpoints, so sampling never inflates measured latency. *)
@@ -540,7 +558,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
           :: !obs
     done;
     {
-      ro_lats = List.rev !lats;
+      ro_lats = recorded lats;
       ro_obs = List.rev !obs;
       ro_ring = ring;
       ro_sketch = sketch;
@@ -553,7 +571,7 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
   let txns = wout.wo_txns and epochs = wout.wo_epochs in
   let writer_s = wout.wo_wall_s and txn_lats = wout.wo_lats in
   let wall_s = Wallclock.elapsed_s sw_all in
-  let query_lats = List.concat_map (fun ro -> ro.ro_lats) reader_results in
+  let query_lats = Array.concat (List.map (fun ro -> ro.ro_lats) reader_results) in
   let reader_alloc =
     List.fold_left (fun acc ro -> acc +. ro.ro_alloc_bytes) 0. reader_results
   in
@@ -580,14 +598,14 @@ let run ?(config = default_config) ?recorder ?sanitize ?(seed = 42) ?on_snapshot
      flight rings and sketches are the sanctioned carrier. *)
   (match recorder with
   | Some r when Recorder.enabled r ->
-      List.iter
+      Array.iter
         (fun l ->
           Recorder.observe r ~help:"Wall-clock latency of one serving operation (us)."
             ~labels:[ ("op", "query"); ("strategy", name) ]
             ~bounds:(Metrics.log_bounds ~start:0.25 ~growth:2. ~count:24 ())
             "vmat_serve_latency_us" l)
         query_lats;
-      List.iter
+      Array.iter
         (fun l ->
           Recorder.observe r ~help:"Wall-clock latency of one serving operation (us)."
             ~labels:[ ("op", "txn"); ("strategy", name) ]

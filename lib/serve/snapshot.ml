@@ -44,29 +44,28 @@ let cluster_col t = t.sn_cluster_col
 let size t = Array.length t.sn_rows
 let rows t = Array.to_list t.sn_rows
 
-(* First index whose clustering value is >= lo (array length when none). *)
-let lower_bound t lo =
-  let n = Array.length t.sn_rows in
-  let rec search l r =
+(* First index whose clustering value is not below [bound] ([strict]:
+   not at or below it); the array length when there is none. *)
+let search t ~strict bound =
+  let rec go l r =
     if l >= r then l
     else
       let mid = (l + r) / 2 in
       let v, _ = t.sn_rows.(mid) in
-      if Value.compare (Tuple.get v t.sn_cluster_col) lo < 0 then search (mid + 1) r
-      else search l mid
+      let c = Value.compare (Tuple.get v t.sn_cluster_col) bound in
+      if c < 0 || (strict && c = 0) then go (mid + 1) r else go l mid
   in
-  search 0 n
+  go 0 (Array.length t.sn_rows)
 
+(* Both ends by binary search, then the stored pairs are consed from the
+   upper bound down: the answer shares every row with the snapshot and
+   allocates one list cell per row, nothing else.  Readers run beside the
+   writer, and in OCaml 5 every minor GC stops both domains, so reader
+   allocation is paid in writer and reader latency alike (DESIGN §10). *)
 let query t ~lo ~hi =
-  let n = Array.length t.sn_rows in
-  let rec collect i acc =
-    if i >= n then List.rev acc
-    else
-      let tuple, count = t.sn_rows.(i) in
-      if Value.compare (Tuple.get tuple t.sn_cluster_col) hi > 0 then List.rev acc
-      else collect (i + 1) ((tuple, count) :: acc)
-  in
-  collect (lower_bound t lo) []
+  let first = search t ~strict:false lo in
+  let rec collect i acc = if i < first then acc else collect (i - 1) (t.sn_rows.(i) :: acc) in
+  collect (search t ~strict:true hi - 1) []
 
 (* FNV-1a, hand-rolled so the digest is deterministic by construction
    (Hashtbl.hash is banned by vmlint rule D2). *)

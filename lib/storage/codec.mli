@@ -9,8 +9,12 @@ exception Corrupt of string
     implausible length, failed schema validation). *)
 
 val crc32 : ?init:int -> string -> int
-(** IEEE 802.3 reflected CRC32 (init/xorout [0xFFFFFFFF]), bitwise — no
-    lookup table, hence no module-level state. *)
+(** IEEE 802.3 reflected CRC32 (init/xorout [0xFFFFFFFF]), one lookup per
+    byte in an immutable 256-entry table. *)
+
+val crc32_sub : string -> pos:int -> len:int -> int
+(** {!crc32} of [String.sub s pos len], without the copy.
+    @raise Invalid_argument when the range is outside [s]. *)
 
 (** {1 Writer} *)
 
@@ -21,7 +25,6 @@ val contents : writer -> string
 val u8 : writer -> int -> unit
 val u32 : writer -> int -> unit
 val i64 : writer -> int -> unit
-val i64_bits : writer -> int64 -> unit
 val f64 : writer -> float -> unit
 val str : writer -> string -> unit
 val bool : writer -> bool -> unit
@@ -67,6 +70,12 @@ type frame_error =
   | Bad_crc  (** complete frame whose checksum fails (bit rot / torn write) *)
 
 val frame : string -> string
+
+val framed : ?prefix:string -> ?size_hint:int -> (writer -> unit) -> string
+(** [framed ~prefix encode] is [prefix ^ frame payload], where [payload] is
+    what [encode] writes, built in one buffer: the payload is copied once
+    and no intermediate string is made.  [size_hint] pre-sizes the buffer
+    (the expected payload bytes). *)
 
 val read_frame : reader -> (string, frame_error) result
 (** On success advances past the frame; on error leaves [pos] unchanged so

@@ -27,18 +27,28 @@ let median samples =
       if len mod 2 = 1 then a.(len / 2)
       else (a.((len / 2) - 1) +. a.(len / 2)) /. 2.
 
-let quantile q samples =
-  if q < 0. || q > 1. then invalid_arg "Stats.quantile: q must be in [0, 1]";
-  match samples with
-  | [] -> 0.
-  | [ x ] -> x
+(* Linear interpolation between the two order statistics around rank
+   [q (n - 1)] of the sorted array [a] (n >= 2). *)
+let interpolate a q =
+  let n = Array.length a in
+  let pos = q *. float_of_int (n - 1) in
+  let i = int_of_float (Float.floor pos) in
+  let frac = pos -. float_of_int i in
+  if i + 1 >= n then a.(n - 1) else a.(i) +. (frac *. (a.(i + 1) -. a.(i)))
+
+let quantiles qs samples =
+  List.iter
+    (fun q -> if q < 0. || q > 1. then invalid_arg "Stats.quantile: q must be in [0, 1]")
+    qs;
+  match Array.length samples with
+  | 0 -> List.map (fun _ -> 0.) qs
+  | 1 -> List.map (fun _ -> samples.(0)) qs
   | _ ->
-      let a = Array.of_list (List.sort Float.compare samples) in
-      let n = Array.length a in
-      let pos = q *. float_of_int (n - 1) in
-      let i = int_of_float (Float.floor pos) in
-      let frac = pos -. float_of_int i in
-      if i + 1 >= n then a.(n - 1) else a.(i) +. (frac *. (a.(i + 1) -. a.(i)))
+      let a = Array.copy samples in
+      Array.stable_sort Float.compare a;
+      List.map (interpolate a) qs
+
+let quantile q samples = List.hd (quantiles [ q ] (Array.of_list samples))
 
 let relative_error ~expected ~actual =
   Float.abs (actual -. expected) /. Float.max 1e-9 (Float.abs expected)

@@ -21,6 +21,13 @@ val quantile : float -> float list -> float
     (zero queries configured).
     @raise Invalid_argument when [q] is outside [[0, 1]]. *)
 
+val quantiles : float list -> float array -> float list
+(** [quantiles qs samples] is
+    [List.map (fun q -> quantile q (Array.to_list samples)) qs], sorting a
+    copy of the samples once instead of once per [q] ([samples] itself is
+    left as it is).
+    @raise Invalid_argument when some [q] is outside [[0, 1]]. *)
+
 val relative_error : expected:float -> actual:float -> float
 (** [|actual - expected| / max 1e-9 |expected|]. *)
 

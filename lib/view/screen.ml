@@ -38,6 +38,11 @@ let create ~meter ~view_name ~pred () =
     stage2 = 0;
   }
 
+(* Satisfiable under the tuple's bindings: only a definite [Some false]
+   screens the change out (unknowns must pass, as in
+   [Predicate.satisfiable_with]). *)
+let satisfiable t tuple = match t.compiled tuple with Some false -> false | Some true | None -> true
+
 let screen t tuple =
   if not (Tlock.breaks t.locks ~view:t.view_name tuple) then false
   else begin
@@ -50,11 +55,10 @@ let screen t tuple =
          "vmat_screen_stage2_total" 1.);
     Cost_meter.with_category t.meter Cost_meter.Screen (fun () ->
         Cost_meter.charge_predicate_test t.meter);
-    (* Satisfiable under the tuple's bindings: only a definite [Some false]
-       screens the change out (unknowns must pass, as in
-       [Predicate.satisfiable_with]). *)
-    match t.compiled tuple with Some false -> false | Some true | None -> true
+    satisfiable t tuple
   end
+
+let member t tuple = Tlock.breaks t.locks ~view:t.view_name tuple && satisfiable t tuple
 
 let stage2_tests t = t.stage2
 

@@ -20,6 +20,12 @@ val screen : t -> Tuple.t -> bool
 (** [true] iff the tuple is marked for the view.  Stage 1 is free; stage 2
     charges one [C1] only for tuples that break a t-lock. *)
 
+val member : t -> Tuple.t -> bool
+(** The verdict {!screen} would give, without the [C1] charge and without
+    counting a stage-2 test.  For images a readily-ignorable change already
+    cleared, whose marks must still carry their view membership (the
+    deferred strategy's A/D entries, DESIGN §4). *)
+
 val stage2_tests : t -> int
 (** Number of stage-2 tests performed so far (the [fu] of [C_screen]). *)
 

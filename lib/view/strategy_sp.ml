@@ -60,30 +60,37 @@ let answer_from_materialized env mat (q : Strategy.query) =
    modification that writes no column the view reads (predicate columns or
    projected columns) cannot change the view, so it needs neither stage-2
    screening nor maintenance.  The paper applies the test per command at
-   compile time; per change is the same test at a finer grain. *)
-let readily_ignorable env (change : Strategy.change) =
-  match (change.before, change.after) with
-  | Some old_tuple, Some new_tuple when Tuple.arity old_tuple = Tuple.arity new_tuple ->
-      let view_reads =
-        Predicate.columns_read env.view.sp_pred @ Array.to_list env.view.sp_positions
-      in
-      let ignorable = ref true in
-      Array.iteri
-        (fun i v ->
-          if (not (Value.equal v (Tuple.get new_tuple i))) && List.mem i view_reads then
-            ignorable := false)
-        (Tuple.values old_tuple);
-      !ignorable
-  | _ -> false
+   compile time; per change is the same test at a finer grain.  The set of
+   columns the view reads is computed once per strategy. *)
+let readily_ignorable env =
+  let read_cols = Predicate.columns_read env.view.sp_pred @ Array.to_list env.view.sp_positions in
+  let reads = Array.make (1 + List.fold_left max 0 read_cols) false in
+  List.iter (fun i -> reads.(i) <- true) read_cols;
+  fun (change : Strategy.change) ->
+    match (change.before, change.after) with
+    | Some old_tuple, Some new_tuple when Tuple.arity old_tuple = Tuple.arity new_tuple ->
+        let n = min (Array.length reads) (Tuple.arity old_tuple) in
+        let rec unchanged i =
+          i >= n
+          || ((not reads.(i)) || Value.equal (Tuple.get old_tuple i) (Tuple.get new_tuple i))
+             && unchanged (i + 1)
+        in
+        unchanged 0
+    | _ -> false
+
+let mark verdict screen = function None -> None | Some tuple -> Some (verdict screen tuple)
 
 (* Screening of one change: both the deleted and the inserted image are
    screened (each is an insertion into or deletion from the base relation),
-   unless the RIU test already rules the change out. *)
-let screen_change env screen (change : Strategy.change) =
-  if readily_ignorable env change then (Some false, Some false)
-  else
-    let mark = Option.map (Screen.screen screen) in
-    (mark change.before, mark change.after)
+   unless the RIU test already rules the change out; then [riu] marks both
+   images, at no screening charge. *)
+let change_screener env screen ~riu =
+  let ignorable = readily_ignorable env in
+  fun (change : Strategy.change) ->
+    let verdict = if ignorable change then riu else Screen.screen in
+    (mark verdict screen change.before, mark verdict screen change.after)
+
+let not_marked _ _ = false
 
 let logical_view_of_tuples env tuples =
   Delta.recompute_sp ~tids:(tids env) env.view tuples
@@ -130,6 +137,47 @@ type refresh_policy =
   | Periodic_and_on_demand of int
   | Periodic_only of int
 
+(* The A/D entries of one refresh window meet again in [Hr.net_changes],
+   which cancels an append against a later delete of the same tuple
+   instance.  That cancellation drops nothing only when both entries carry
+   the tuple's real view membership.  A readily-ignorable change marked
+   [false] broke it: v1 -RIU-> v1' -> v2 cancelled A(v1', false) against
+   D(v1', true) and left v1's row in the view; v1 -> v2 -RIU-> v2' dropped
+   v2's row.  So the deferred strategy marks RIU images with their uncharged
+   membership (equal for both images: the change writes no column the view
+   reads), and the refresh nets the resulting D/A pair, which projects to
+   one output row ([view_delta] with [~net:true]), so RIU stays free at
+   refresh as well as at screening.  Windows without an RIU change are not
+   netted, so they refresh exactly as before. *)
+
+(* The view-level delta of one refresh window: the marked net entries, less
+   every D/A pair with equal projected output (deleting and re-inserting one
+   output row leaves the view's bag as it was).  Keys are rendered without
+   minting output tids and survivors keep their net-set order, so the tids
+   and page accesses of the refresh are those of the un-netted delta. *)
+let view_delta env ~net (a_net, d_net) =
+  let marked entries = List.filter_map (fun (tuple, m) -> if m then Some tuple else None) entries in
+  let deletes = marked d_net and inserts = marked a_net in
+  if (not net) || List.is_empty deletes || List.is_empty inserts then (deletes, inserts)
+  else begin
+    let key tuple = Tuple.value_key (Tuple.project tuple env.view.sp_positions) in
+    let count tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+    let add tbl k n = Hashtbl.replace tbl k (count tbl k + n) in
+    (* [take tbl k] consumes one of [k]'s occurrences, if any is left. *)
+    let take tbl k = count tbl k > 0 && (add tbl k (-1); true) in
+    let unmatched = Hashtbl.create (List.length inserts) and netted = Hashtbl.create 8 in
+    List.iter (fun tuple -> add unmatched (key tuple) 1) inserts;
+    let deletes =
+      List.filter
+        (fun tuple ->
+          let k = key tuple in
+          if take unmatched k then (add netted k 1; false) else true)
+        deletes
+    in
+    if Hashtbl.length netted = 0 then (deletes, inserts)
+    else (deletes, List.filter (fun tuple -> not (take netted (key tuple))) inserts)
+  end
+
 let deferred_with_policy_internal ?layout ~policy ~name env =
   let m = meter env in
   let base = make_base_btree env in
@@ -141,30 +189,29 @@ let deferred_with_policy_internal ?layout ~policy ~name env =
       ~sanitize:(Ctx.sanitizer env.ctx) ()
   in
   let mat = make_materialized env in
-  let screen = make_screen env in
+  (* Whether the current refresh window holds a readily-ignorable change. *)
+  let riu_in_window = ref false in
+  let screen_change =
+    change_screener env (make_screen env) ~riu:(fun screen tuple ->
+        riu_in_window := true;
+        Screen.member screen tuple)
+  in
   let refresh ?(category = Cost_meter.Refresh) () =
     Strategy.refresh_span m ~view:env.view.sp_name (fun () ->
         Cost_meter.with_category m category (fun () ->
-            let a_net, d_net = Hr.net_changes hr in
-            List.iter
-              (fun (tuple, marked) ->
-                if marked then
-                  Materialized.apply mat Delete (sp_output env tuple))
-              d_net;
-            List.iter
-              (fun (tuple, marked) ->
-                if marked then
-                  Materialized.apply mat Insert (sp_output env tuple))
-              a_net;
+            let deletes, inserts = view_delta env ~net:!riu_in_window (Hr.net_changes hr) in
+            List.iter (fun tuple -> Materialized.apply mat Delete (sp_output env tuple)) deletes;
+            List.iter (fun tuple -> Materialized.apply mat Insert (sp_output env tuple)) inserts;
             Materialized.flush mat);
         Hr.reset hr;
+        riu_in_window := false;
         check_refresh_equals_recompute env ~name base mat)
   in
   let txns_since_refresh = ref 0 in
   let handle_transaction changes =
     List.iter
       (fun (change : Strategy.change) ->
-        let marked_old, marked_new = screen_change env screen change in
+        let marked_old, marked_new = screen_change change in
         match (change.before, change.after) with
         | Some old_tuple, Some new_tuple ->
             Hr.apply_update hr ~old_tuple ~new_tuple
@@ -200,15 +247,9 @@ let deferred_with_policy_internal ?layout ~policy ~name env =
       view_contents =
         (fun () ->
           let bag = Materialized.to_bag_unmetered mat in
-          let a_net, d_net = Hr.net_changes_unmetered hr in
-          List.iter
-            (fun (tuple, marked) ->
-              if marked then ignore (Bag.remove bag (sp_output env tuple)))
-            d_net;
-          List.iter
-            (fun (tuple, marked) ->
-              if marked then ignore (Bag.add bag (sp_output env tuple)))
-            a_net;
+          let deletes, inserts = view_delta env ~net:!riu_in_window (Hr.net_changes_unmetered hr) in
+          List.iter (fun tuple -> ignore (Bag.remove bag (sp_output env tuple))) deletes;
+          List.iter (fun tuple -> ignore (Bag.add bag (sp_output env tuple))) inserts;
           bag);
     },
     refresh,
@@ -277,7 +318,7 @@ let immediate env =
   let m = meter env in
   let base = make_base_btree env in
   let mat = make_materialized env in
-  let screen = make_screen env in
+  let screen_change = change_screener env (make_screen env) ~riu:not_marked in
   let update_base (change : Strategy.change) =
     Cost_meter.with_category m Cost_meter.Base (fun () ->
         Option.iter
@@ -292,7 +333,7 @@ let immediate env =
     List.iter
       (fun (change : Strategy.change) ->
         update_base change;
-        let marked_old, marked_new = screen_change env screen change in
+        let marked_old, marked_new = screen_change change in
         (match (change.before, marked_old) with
         | Some tuple, Some true -> marked_deletes := tuple :: !marked_deletes
         | _ -> ());
@@ -512,7 +553,7 @@ let recompute env =
   let m = meter env in
   let base = make_base_btree env in
   let mat = make_materialized env in
-  let screen = make_screen env in
+  let screen_change = change_screener env (make_screen env) ~riu:not_marked in
   let dirty = ref false in
   let handle_transaction changes =
     Cost_meter.with_category m Cost_meter.Base (fun () ->
@@ -528,7 +569,7 @@ let recompute env =
         Buffer_pool.invalidate (Btree.pool base));
     List.iter
       (fun change ->
-        let marked_old, marked_new = screen_change env screen change in
+        let marked_old, marked_new = screen_change change in
         if marked_old = Some true || marked_new = Some true then dirty := true)
       changes
   in

@@ -71,8 +71,7 @@ let r_pair r =
   let v = Codec.r_str r in
   (k, v)
 
-let encode im =
-  let w = Codec.writer () in
+let encode_into w im =
   Codec.i64 w im.ck_id;
   Codec.i64 w im.ck_op_index;
   Codec.i64 w im.ck_next_txn_id;
@@ -83,8 +82,7 @@ let encode im =
   Codec.list w marked im.ck_d_net;
   Codec.str w im.ck_bloom_bits;
   Codec.i64 w im.ck_bloom_insertions;
-  Codec.list w pair im.ck_adaptive;
-  Codec.contents w
+  Codec.list w pair im.ck_adaptive
 
 let decode payload =
   let r = Codec.reader payload in
@@ -114,7 +112,18 @@ let decode payload =
     ck_adaptive;
   }
 
-let to_bytes im = magic ^ Codec.frame (encode im)
+(* A Model-1 row encodes to about 50 bytes.  The hint is an upper estimate,
+   so the buffer is allocated once and never regrows (each regrowth copies
+   everything written so far). *)
+let size_hint im =
+  (64
+  * (List.length im.ck_base + List.length im.ck_view + List.length im.ck_a_net
+    + List.length im.ck_d_net))
+  + String.length im.ck_bloom_bits + 256
+
+(* Magic, frame header and payload are built in one buffer: one copy of
+   the encoded image, one CRC pass. *)
+let to_bytes im = Codec.framed ~prefix:magic ~size_hint:(size_hint im) (fun w -> encode_into w im)
 
 let of_bytes data =
   let ml = String.length magic in
@@ -132,12 +141,17 @@ let of_bytes data =
         | exception Codec.Corrupt msg -> Error msg)
   end
 
-let write dev im = Device.write_atomic dev ~name:(file_name im.ck_id) (to_bytes im)
+let write dev im =
+  let data = to_bytes im in
+  Device.write_atomic dev ~name:(file_name im.ck_id) data;
+  String.length data
 
-let read dev ~id =
+let read_sized dev ~id =
   match Device.read dev ~name:(file_name id) with
   | None -> Error "no such image"
-  | Some data -> of_bytes data
+  | Some data -> Result.map (fun im -> (im, String.length data)) (of_bytes data)
+
+let read dev ~id = Result.map fst (read_sized dev ~id)
 
 (* Newest image that validates; corrupt images are skipped (the log tail
    since the next-newest image covers the difference). *)
@@ -145,8 +159,6 @@ let latest dev =
   let rec pick = function
     | [] -> None
     | (id, _) :: rest -> (
-        match read dev ~id with Ok im -> Some im | Error _ -> pick rest)
+        match read_sized dev ~id with Ok sized -> Some sized | Error _ -> pick rest)
   in
   pick (List.rev (image_files dev))
-
-let image_bytes im = String.length (to_bytes im)

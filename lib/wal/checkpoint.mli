@@ -25,17 +25,18 @@ val file_name : int -> string
 val file_id : string -> int option
 val image_files : Device.t -> (int * string) list
 
-val encode : image -> string
 val decode : string -> image
 (** @raise Codec.Corrupt *)
 
 val to_bytes : image -> string
 val of_bytes : string -> (image, string) result
 
-val write : Device.t -> image -> unit
+val write : Device.t -> image -> int
+(** Encode once and write atomically; returns the image's size in bytes
+    (what the caller charges and reports). *)
+
 val read : Device.t -> id:int -> (image, string) result
 
-val latest : Device.t -> image option
-(** Newest image that validates; corrupt ones are skipped. *)
-
-val image_bytes : image -> int
+val latest : Device.t -> (image * int) option
+(** Newest image that validates, with its size in bytes; corrupt ones are
+    skipped. *)

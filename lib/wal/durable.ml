@@ -82,10 +82,15 @@ let checkpoints_taken t = t.checkpoints_taken
 
 let by_tid a b = Int.compare (Tuple.tid a) (Tuple.tid b)
 
-(* Canonical (ascending-tid) net base contents; the fold is under the sort
-   so hash order never escapes (vmlint D3). *)
+(* Canonical (ascending-tid) net base contents.  The fold's hash order is
+   sorted away on the next line (vmlint D3 knows only List.sort, hence the
+   allowlist entry): tids are unique, so sorting an array gives the list
+   sort's order at a fraction of its allocation (one array instead of a
+   fresh list per merge level, about 4 MB per checkpoint at N = 10,000). *)
 let base_contents t =
-  List.sort by_tid (Hashtbl.fold (fun _ tuple acc -> tuple :: acc) t.catalog [])
+  let rows = Array.of_list (Hashtbl.fold (fun _ tuple acc -> tuple :: acc) t.catalog []) in
+  Array.sort by_tid rows;
+  Array.to_list rows
 
 let apply_catalog catalog (changes : Strategy.change list) =
   List.iter
@@ -135,8 +140,7 @@ let take_checkpoint t =
           (t.probe.p_adaptive ());
     }
   in
-  Checkpoint.write (Wal.device t.wal) image;
-  let bytes = Checkpoint.image_bytes image in
+  let bytes = Checkpoint.write (Wal.device t.wal) image in
   ignore (Wal.charge_pages t.wal bytes);
   t.next_ckpt_id <- t.next_ckpt_id + 1;
   t.checkpoints_taken <- t.checkpoints_taken + 1;

@@ -1,5 +1,5 @@
 (* The WAL record vocabulary (DESIGN §9).  One record per log event, each
-   wrapped in a CRC32 frame by [Codec.frame]:
+   wrapped in a CRC32 frame by [Codec.framed]:
 
      [u32 payload_len][u32 crc32(payload)][tag u8][fields...]
 
@@ -34,8 +34,7 @@ let describe = function
   | Checkpoint_note { ckpt_id; op_index } ->
       Printf.sprintf "checkpoint %d @op %d" ckpt_id op_index
 
-let encode r =
-  let w = Codec.writer () in
+let encode_into w r =
   Codec.u8 w (tag r);
   (match r with
   | Txn_begin { txn_id } -> Codec.i64 w txn_id
@@ -48,7 +47,11 @@ let encode r =
       Codec.i64 w op_index
   | Checkpoint_note { ckpt_id; op_index } ->
       Codec.i64 w ckpt_id;
-      Codec.i64 w op_index);
+      Codec.i64 w op_index)
+
+let encode r =
+  let w = Codec.writer () in
+  encode_into w r;
   Codec.contents w
 
 let decode payload =
@@ -75,7 +78,7 @@ let decode payload =
     raise (Codec.Corrupt "trailing bytes after record payload");
   record
 
-let to_frame r = Codec.frame (encode r)
+let to_frame r = Codec.framed (fun w -> encode_into w r)
 
 let change_of (c : Strategy.change) ~txn_id =
   Change { txn_id; before = c.Strategy.before; after = c.Strategy.after }

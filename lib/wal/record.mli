@@ -22,7 +22,7 @@ val decode : string -> t
 (** @raise Codec.Corrupt on a malformed payload. *)
 
 val to_frame : t -> string
-(** [Codec.frame (encode r)]. *)
+(** [Codec.frame (encode r)], built in one buffer ({!Codec.framed}). *)
 
 val change_of : Vmat_view.Strategy.change -> txn_id:int -> t
 val to_change : t -> Vmat_view.Strategy.change option

@@ -63,10 +63,13 @@ let charge_read_pages ctx bytes =
           done)
 
 let scan ?ctx dev =
-  let image = Checkpoint.latest dev in
-  (match image with
-  | Some im -> charge_read_pages ctx (Checkpoint.image_bytes im)
-  | None -> ());
+  let image =
+    Option.map
+      (fun (im, bytes) ->
+        charge_read_pages ctx bytes;
+        im)
+      (Checkpoint.latest dev)
+  in
   let image_op =
     match image with Some im -> im.Checkpoint.ck_op_index | None -> 0
   in

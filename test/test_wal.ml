@@ -372,17 +372,17 @@ let test_checkpoint_roundtrip () =
 
 let test_checkpoint_latest_skips_corrupt () =
   let dev = Device.memory () in
-  Checkpoint.write dev (sample_image 1);
-  Checkpoint.write dev (sample_image 2);
+  ignore (Checkpoint.write dev (sample_image 1));
+  ignore (Checkpoint.write dev (sample_image 2));
   (match Checkpoint.latest dev with
-  | Some im -> Alcotest.(check int) "newest wins" 2 im.Checkpoint.ck_id
+  | Some (im, _) -> Alcotest.(check int) "newest wins" 2 im.Checkpoint.ck_id
   | None -> Alcotest.fail "no image found");
   (* corrupt the newest image: recovery falls back to the older one *)
   let name = Checkpoint.file_name 2 in
   let bytes = Option.get (Device.read dev ~name) in
   Device.write_atomic dev ~name (flip bytes (String.length bytes - 5));
   (match Checkpoint.latest dev with
-  | Some im -> Alcotest.(check int) "corrupt skipped" 1 im.Checkpoint.ck_id
+  | Some (im, _) -> Alcotest.(check int) "corrupt skipped" 1 im.Checkpoint.ck_id
   | None -> Alcotest.fail "older image not found");
   (match Checkpoint.read dev ~id:2 with
   | Error _ -> ()
